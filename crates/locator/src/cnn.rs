@@ -22,6 +22,15 @@
 //! explicit [`Workspace`], so one trained CNN can score windows from many
 //! threads (and many traces) concurrently — each thread brings its own cheap
 //! workspace instead of a clone of the weights.
+//!
+//! Training runs layer by layer (every layer records its backward cache).
+//! Inference runs one fused chain ([`tinynn::fused`]): every batch norm is
+//! folded into its convolution once per call, each convolution is an
+//! im2col-free direct convolution whose epilogue applies the bias, residual
+//! add, ReLU and global-pool sum as it stores a tile, and the whole backbone
+//! runs for one window before the next. Scores match the layer-by-layer
+//! path to within the fold's rounding (a few ulps; see the tests) and are
+//! bit-identical for any batch composition and thread count.
 
 use serde::{Deserialize, Serialize};
 use tinynn::{
@@ -137,7 +146,9 @@ impl CoLocatorCnn {
     /// Forward pass: windows `[B, 1, N]` → class logits `[B, 2]`.
     ///
     /// Shares the weights (`&self`); every piece of per-call state lives in
-    /// `ws`, so concurrent callers each pass their own workspace.
+    /// `ws`, so concurrent callers each pass their own workspace. With
+    /// `training == false` the backbone is the fused inference chain (see
+    /// [`Self::pooled_features`]).
     pub fn forward(&self, input: &Tensor, ws: &mut Workspace, training: bool) -> Tensor {
         let x = self.pooled_features(input, ws, training);
         let x = forward_consuming(&self.fc1, x, ws, training);
@@ -150,11 +161,22 @@ impl CoLocatorCnn {
     /// fully connected head sees. The quantiser compares these against its
     /// own pooled features to fold the quantised backbone's systematic
     /// offset into the head bias.
+    ///
+    /// Inference (`training == false`) is one fused chain,
+    /// [`tinynn::fused::pooled_features`]: batch norms folded, epilogues
+    /// fused, one window at a time. Training runs layer by layer so every
+    /// layer can record its backward cache.
     pub fn pooled_features(&self, input: &Tensor, ws: &mut Workspace, training: bool) -> Tensor {
+        if !training {
+            return tinynn::fused::pooled_features(
+                (&self.conv, &self.bn),
+                &[&self.res1, &self.res2],
+                input,
+                ws,
+            );
+        }
         // Each dead intermediate returns to the workspace arena as soon as
-        // the next layer has consumed it (`forward_consuming`): after
-        // warm-up a full inference pass performs zero heap allocations (see
-        // `tinynn::Workspace`).
+        // the next layer has consumed it (`forward_consuming`).
         let x = self.conv.forward(input, ws, training);
         let x = forward_consuming(&self.bn, x, ws, training);
         let x = forward_consuming(&self.relu, x, ws, training);
@@ -282,6 +304,22 @@ impl CoLocatorCnn {
             scores.push(logits.at2(b, 1) - logits.at2(b, 0));
         }
         ws.recycle(logits);
+    }
+
+    /// Bytes of workspace scratch one scoring thread retains after
+    /// [`Self::class1_scores_into`] on `batch` windows of `len` samples,
+    /// including the `[batch, 1, len]` input staged in the same workspace by
+    /// the sliding-window classifier: the fused backbone's buffers
+    /// ([`tinynn::fused::scratch_bytes`]; the head packs its weights into
+    /// the same, larger buffer) plus the arena tensors of the input and of
+    /// the pooled features and head activations, of which at most three
+    /// are live at once.
+    pub(crate) fn workspace_bytes(&self, batch: usize, len: usize) -> usize {
+        let tensor = |elems: usize, dims: usize| elems * 4 + dims * std::mem::size_of::<usize>();
+        let backbone = (&self.conv, &self.bn);
+        tinynn::fused::scratch_bytes(backbone, &[&self.res1, &self.res2], len, 1)
+            + tensor(batch * len, 3)
+            + 3 * tensor(batch * self.res2.out_channels(), 2)
     }
 
     /// Inference forward pass with every convolution and fully connected
@@ -453,6 +491,71 @@ mod tests {
         }
         assert_eq!(ws.arena_misses(), misses, "steady-state forward must not allocate");
         assert_eq!(ws.retained_bytes(), retained, "steady-state forward must not grow scratch");
+    }
+
+    /// The layer-by-layer inference path the fused chain replaced.
+    fn unfused_scores(cnn: &CoLocatorCnn, x: &Tensor) -> Vec<f32> {
+        let mut ws = Workspace::new();
+        let h = cnn.conv.forward(x, &mut ws, false);
+        let h = forward_consuming(&cnn.bn, h, &mut ws, false);
+        let mut h = forward_consuming(&cnn.relu, h, &mut ws, false);
+        for layer in
+            [&cnn.res1 as &dyn Layer, &cnn.res2, &cnn.pool, &cnn.fc1, &cnn.fc_relu, &cnn.fc2]
+        {
+            h = forward_consuming(layer, h, &mut ws, false);
+        }
+        (0..h.shape()[0]).map(|b| h.at2(b, 1) - h.at2(b, 0)).collect()
+    }
+
+    #[test]
+    fn fused_scores_match_the_unfused_layers() {
+        // Trained-looking batch norms: non-trivial running statistics and
+        // affine parameters in every layer.
+        let mut cnn = CoLocatorCnn::new(CnnConfig::scaled());
+        for (i, b) in cnn.buffers_mut().into_iter().enumerate() {
+            let (lo, hi) = if i % 2 == 0 { (-0.4, 0.4) } else { (0.2, 3.0) };
+            let v = tinynn::init::uniform(&[b.len()], lo, hi, 50 + i as u64);
+            b.copy_from_slice(v.data());
+        }
+        for (i, p) in cnn.params_mut().into_iter().enumerate() {
+            if p.value.shape().len() == 1 {
+                let v = tinynn::init::uniform(p.value.shape(), 0.5, 1.5, 90 + i as u64);
+                p.value.data_mut().copy_from_slice(v.data());
+            }
+        }
+        let windows: Vec<Vec<f32>> = (0..16)
+            .map(|w| (0..209).map(|i| ((i * (w + 2)) as f32 * 0.037).sin() * 1.7).collect())
+            .collect();
+        let x = CoLocatorCnn::stack_windows(&windows);
+        let want = unfused_scores(&cnn, &x);
+        let got = cnn.class1_scores(&x, &mut Workspace::new());
+        // Measured: max |fused - unfused| = 7.6e-6 over these windows, with
+        // |score| up to 1.82 — the fold's few-ulp feature rounding, widened
+        // by the head and the logit difference. The bound leaves ~2.6x
+        // headroom.
+        const BOUND: f32 = 2e-5;
+        for (w, (a, b)) in got.iter().zip(&want).enumerate() {
+            assert!((a - b).abs() <= BOUND, "window {w}: fused {a} vs unfused {b}");
+        }
+    }
+
+    #[test]
+    fn workspace_estimate_covers_the_warm_workspace() {
+        let cnn = CoLocatorCnn::new(CnnConfig::scaled());
+        let (batch, len) = (64, 209);
+        // One scoring shard: its CNN calls stay on the shard's thread.
+        let _serial = tinynn::parallel::serial_region();
+        let mut ws = Workspace::new();
+        let mut scores = Vec::new();
+        for _ in 0..2 {
+            // Stage the batch in the workspace like the sliding classifier.
+            let x = ws.uninit_tensor(&[batch, 1, len]);
+            cnn.class1_scores_into(&x, &mut ws, &mut scores);
+            ws.recycle(x);
+        }
+        let retained = ws.retained_bytes();
+        let estimate = cnn.workspace_bytes(batch, len);
+        assert!(retained <= estimate && estimate <= 2 * retained, "{retained} vs {estimate}");
     }
 
     #[test]

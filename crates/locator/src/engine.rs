@@ -93,6 +93,17 @@ impl EngineModel {
         }
     }
 
+    /// Bytes of workspace scratch one scoring thread retains after scoring
+    /// `batch` windows of `len` samples (see
+    /// [`CoLocatorCnn::workspace_bytes`] and
+    /// [`QuantizedCoLocatorCnn::workspace_bytes`]).
+    pub(crate) fn workspace_bytes(&self, batch: usize, len: usize) -> usize {
+        match self {
+            EngineModel::F32(cnn) => cnn.workspace_bytes(batch, len),
+            EngineModel::Quantized(qcnn) => qcnn.workspace_bytes(batch, len),
+        }
+    }
+
     /// The architecture configuration behind either variant.
     pub fn config(&self) -> &crate::cnn::CnnConfig {
         match self {
@@ -157,18 +168,15 @@ impl LocatorEngine {
     }
 
     /// Estimated resident bytes of serving this engine: the weight set
-    /// ([`EngineModel::weight_bytes`]) plus a per-thread workspace estimate
-    /// for one scoring batch (`batch_size` windows staged as `[B, 1, N]`
-    /// input, the im2col expansion of the first convolution — the widest
-    /// intermediate — and the activation arena). The estimate is
-    /// deterministic in the engine's configuration, so an eviction budget
-    /// compares like with like across save/load cycles.
+    /// ([`EngineModel::weight_bytes`]) plus the workspace one scoring thread
+    /// retains for a batch of `batch_size` windows
+    /// ([`EngineModel::workspace_bytes`]), derived from the buffers the
+    /// model's forward pass actually draws. The estimate is deterministic in
+    /// the engine's configuration, so an eviction budget compares like with
+    /// like across save/load cycles.
     pub fn memory_footprint(&self) -> usize {
-        let weights = self.model.weight_bytes();
-        let kernel = self.model.config().kernel_size;
-        // [B, 1, N] staging + im2col [kernel, B·N] + ~2 activation copies.
-        let workspace = self.sliding.batch_size() * self.sliding.window_len() * (kernel + 3) * 4;
-        weights + workspace
+        let (batch, len) = (self.sliding.batch_size(), self.sliding.window_len());
+        self.model.weight_bytes() + self.model.workspace_bytes(batch, len)
     }
 
     /// The trained `f32` CNN, or `None` for a quantised engine.
@@ -459,6 +467,39 @@ mod tests {
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("sca_locator_engine_{name}_{}", std::process::id()))
+    }
+
+    #[test]
+    fn memory_footprint_tracks_the_warm_scoring_workspace() {
+        // The registry budgets against this figure, so it must neither
+        // under-count a warm scoring workspace nor inflate it past 2x.
+        let f32_engine = LocatorEngine::new(
+            CoLocatorCnn::new(CnnConfig::scaled()),
+            SlidingWindowClassifier::new(209, 32).with_batch_size(64),
+            Segmenter::new(SegmentationConfig::default()),
+        );
+        for engine in [f32_engine.clone(), f32_engine.quantize()] {
+            let (batch, len) = (64, 209);
+            // One scoring shard, staging its batch like the classifier does.
+            let _serial = tinynn::parallel::serial_region();
+            let mut ws = Workspace::new();
+            let mut scores = Vec::new();
+            for _ in 0..2 {
+                let mut x = ws.uninit_tensor(&[batch, 1, len]);
+                for (i, v) in x.data_mut().iter_mut().enumerate() {
+                    *v = (i as f32 * 0.05).sin();
+                }
+                engine.model().score_windows_into(&x, &mut ws, &mut scores);
+                ws.recycle(x);
+            }
+            let retained = ws.retained_bytes();
+            let estimate = engine.memory_footprint() - engine.model().weight_bytes();
+            assert!(
+                retained <= estimate && estimate <= 2 * retained,
+                "quantized={}: retained {retained} vs estimate {estimate}",
+                engine.is_quantized()
+            );
+        }
     }
 
     #[test]

@@ -423,6 +423,27 @@ impl QuantizedCoLocatorCnn {
         pooled
     }
 
+    /// Bytes of workspace scratch one scoring thread retains after
+    /// [`Self::class1_scores_into`] on `batch` windows of `len` samples,
+    /// including the `[batch, 1, len]` input staged in the same workspace by
+    /// the sliding-window classifier: the `i16` code buffers of
+    /// [`Self::pooled_features`] (the padded input, the stem output and
+    /// both block outputs, and each block's padded mid activations and
+    /// unpadded shortcut), the pooling accumulators, the head's packed
+    /// weights, and the arena tensors of the input and of the pooled
+    /// features and head activations (at most three live at once).
+    pub(crate) fn workspace_bytes(&self, batch: usize, len: usize) -> usize {
+        let rows = len + self.config.kernel_size - 1;
+        let (f, f2) = (self.conv.out_channels(), self.res2.out_channels());
+        let codes = batch * rows * (1 + 3 * f + 2 * f2) + batch * len * (f + f2);
+        let tensor = |elems: usize, dims: usize| elems * 4 + dims * std::mem::size_of::<usize>();
+        codes * std::mem::size_of::<i16>()
+            + f2 * std::mem::size_of::<i64>()
+            + tinynn::matmul::packed_rhs_len(self.fc1.out_features(), self.fc1.in_features()) * 4
+            + tensor(batch * len, 3)
+            + 3 * tensor(batch * f2, 2)
+    }
+
     /// Scores a batch of windows with the linear class-1 margin, writing
     /// into a caller-owned buffer (cleared first).
     pub fn class1_scores_into(&self, input: &Tensor, ws: &mut Workspace, scores: &mut Vec<f32>) {

@@ -21,16 +21,19 @@
 //! intermediates — a warm inference pass performs **zero heap
 //! allocations**.
 //!
-//! The forward hot paths run the packed register-tiled GEMM kernels of
+//! The forward hot paths run the packed register-tiled kernels of
 //! [`crate::matmul`]: `Conv1d` packs its weight block into `MR`-row strips
-//! once per call and lowers each item to im2col → [`matmul::matmul_packed_lhs`]
-//! (col2im for the input gradient), `Linear` packs `Wᵀ` into `NR`-column
-//! panels for [`matmul::matmul_packed_rhs`], and the normalisation/pooling
-//! layers operate on contiguous channel slices. The original scalar
-//! implementations survive as `*_reference` methods so parity tests can pin
-//! the optimised kernels against them.
-
-use std::cell::RefCell;
+//! once per call and runs the im2col-free direct convolution
+//! [`matmul::conv_direct_f32`] on a zero-padded copy of its input (its
+//! backward still lowers to im2col → GEMM, with col2im for the input
+//! gradient), `Linear` packs `Wᵀ` into `NR`-column panels for
+//! [`matmul::matmul_packed_rhs`], and the normalisation/pooling layers
+//! operate on contiguous channel slices. Inference of a whole conv/BN/ReLU
+//! backbone does not run layer by layer at all: [`crate::fused`] folds each
+//! batch norm into its convolution ([`fold_batchnorm`]) and runs the chain
+//! one window at a time. The original scalar implementations survive as
+//! `*_reference` methods so parity tests can pin the optimised kernels
+//! against them.
 
 use serde::{Deserialize, Serialize};
 
@@ -337,10 +340,17 @@ impl Layer for Linear {
 // Conv1d
 // ---------------------------------------------------------------------------
 
-thread_local! {
-    /// Per-thread im2col scratch used only when the batch fans out across
-    /// threads (worker threads cannot share the caller's workspace buffer).
-    static COL_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+/// Copies `rows` signals of `len` samples into `dst` as zero-padded rows of
+/// stride `rs`: row `r` holds `pad` zeros, then signal `r`, then zeros up to
+/// the stride — the input layout of [`matmul::conv_direct_f32`].
+pub(crate) fn pad_rows(dst: &mut [f32], x: &[f32], rows: usize, len: usize, pad: usize, rs: usize) {
+    assert_eq!(x.len(), rows * len, "input must be rows*len = {rows}x{len}");
+    assert_eq!(dst.len(), rows * rs, "padded buffer must be rows*rs = {rows}x{rs}");
+    for (d, src) in dst.chunks_exact_mut(rs).zip(x.chunks_exact(len)) {
+        d[..pad].fill(0.0);
+        d[pad..pad + len].copy_from_slice(src);
+        d[pad + len..].fill(0.0);
+    }
 }
 
 /// Writes the im2col lowering of one `[C, len]` input signal into `col`.
@@ -349,9 +359,10 @@ thread_local! {
 /// `c` shifted by `t - pad`, zero-padded at the borders — every row is a
 /// single contiguous `copy_from_slice` plus zero fills, and the row order
 /// matches the `[out_c, in_c, kernel]` weight layout so the weight tensor is
-/// usable as the GEMM left operand without repacking. (The quantised
-/// convolution does not lower at all — see `qlayers::transpose_pad_q` for
-/// its channels-last windowing.)
+/// usable as the GEMM left operand without repacking. Only the backward
+/// pass lowers: the forward convolution reads the same rows straight out of
+/// the padded input ([`matmul::conv_direct_f32`]), and the quantised
+/// convolution windows its channels-last codes (`qlayers::transpose_pad_q`).
 fn im2col(col: &mut Vec<f32>, x: &[f32], channels: usize, len: usize, kernel: usize, pad: usize) {
     col.resize(channels * kernel * len, 0.0);
     for c in 0..channels {
@@ -401,13 +412,17 @@ fn col2im_add(
 /// 1-D convolution with stride 1 and "same" zero padding, matching the
 /// convolutional layers of the paper's CNN (Figure 2).
 ///
-/// The forward and backward passes lower to im2col → GEMM: the
-/// `[out_c, in_c, kernel]` weight tensor is row-major exactly the
-/// `[out_c, in_c*kernel]` GEMM operand, and the im2col matrix is built with
-/// contiguous row copies, so the whole convolution is three cache-blocked
-/// matrix products. Batches fan out across threads at inference; the im2col
-/// scratch comes from the workspace on the sequential paths and from a
-/// per-thread buffer inside the fan-out.
+/// The `[out_c, in_c, kernel]` weight tensor is row-major exactly the
+/// `[out_c, in_c*kernel]` GEMM operand. The forward pass is an im2col-free
+/// direct convolution ([`matmul::conv_direct_f32`]) over a zero-padded copy
+/// of the input, bit-identical to im2col → [`matmul::matmul_packed_lhs`]
+/// but without the `kernel`-times larger lowering; batch items fan out
+/// across threads in training and inference alike. The backward pass lowers
+/// to im2col → GEMM (three cache-blocked matrix products per item).
+///
+/// Measured dead end: folding batch norm and fusing the epilogues while
+/// keeping the im2col lowering gained only 1.06× on the scaled network;
+/// removing the `kernel`-times im2col copy is where the speedup lies.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Conv1d {
     weight: Param, // [out_c, in_c, k]
@@ -474,7 +489,7 @@ impl Conv1d {
     }
 
     /// Naive 5-deep scalar-loop forward pass, kept as the parity reference
-    /// for the im2col/GEMM implementation. Pure: touches no caches.
+    /// for the direct-convolution implementation. Pure: touches no caches.
     pub fn forward_reference(&self, input: &Tensor) -> Tensor {
         let (batch, len) = (input.shape()[0], input.shape()[2]);
         let pad = self.pad_left();
@@ -550,48 +565,24 @@ impl Layer for Conv1d {
         let ck = in_c * k;
         let pad = self.pad_left();
         let mut out = ws.uninit_tensor(&[batch, out_c, len]);
-        let x = input.data();
         let bias = self.bias.value.data();
         // Pack the `[out_c, ck]` weight block into MR-row strips once per
-        // call; every batch item's GEMM then runs the register-tiled kernel
-        // against the same pack (one pass over the weights, amortised to
-        // noise across the batch).
+        // call and zero-pad the whole batch once; every item's direct
+        // convolution then reads both in place (one pass over the weights
+        // and one copy of the input, amortised across the batch).
         matmul::pack_lhs(&mut ws.pack, self.weight.value.data(), out_c, ck);
+        let rs = matmul::direct_row_stride(len, k);
+        ws.col.resize(batch * in_c * rs, 0.0);
+        pad_rows(&mut ws.col, input.data(), batch * in_c, len, pad, rs);
         let flops = 2 * batch * out_c * ck * len;
-        let threads = if batch == 1 {
-            1
-        } else {
-            parallel::thread_count_for(batch, flops, CONV_PAR_MIN_FLOPS)
-        };
-        if threads <= 1 {
-            // Sequential over the batch: reuse the workspace im2col buffer
-            // across items (and across layers of the whole pass). A single
-            // window additionally parallelises inside the GEMM.
-            let pack = &ws.pack;
-            let col = &mut ws.col;
-            for (b, out_b) in out.data_mut().chunks_mut(out_c * len).enumerate() {
-                im2col(col, &x[b * in_c * len..(b + 1) * in_c * len], in_c, len, k, pad);
-                for (oc, out_row) in out_b.chunks_mut(len).enumerate() {
-                    out_row.fill(bias[oc]);
-                }
-                if batch == 1 {
-                    matmul::matmul_packed_lhs_par(out_b, pack, col, out_c, ck, len);
-                } else {
-                    matmul::matmul_packed_lhs(out_b, pack, col, out_c, ck, len);
-                }
-            }
-        } else {
-            let pack = &ws.pack;
-            parallel::for_each_item_mut(out.data_mut(), out_c * len, threads, |b, out_b| {
-                COL_BUF.with_borrow_mut(|col| {
-                    im2col(col, &x[b * in_c * len..(b + 1) * in_c * len], in_c, len, k, pad);
-                    for (oc, out_row) in out_b.chunks_mut(len).enumerate() {
-                        out_row.fill(bias[oc]);
-                    }
-                    matmul::matmul_packed_lhs(out_b, pack, col, out_c, ck, len);
-                });
+        let threads = parallel::thread_count_for(batch, flops, CONV_PAR_MIN_FLOPS);
+        let (pack, xpad) = (&ws.pack, &ws.col);
+        parallel::for_each_item_mut(out.data_mut(), out_c * len, threads, |b, out_b| {
+            let x_b = &xpad[b * in_c * rs..(b + 1) * in_c * rs];
+            matmul::conv_direct_f32(pack, x_b, rs, out_c, k, ck, len, bias, |o, jb, v| {
+                out_b[o * len + jb..o * len + jb + v.len()].copy_from_slice(v);
             });
-        }
+        });
         if training {
             ws.push(LayerCache::Input(input.clone()));
         }
@@ -697,19 +688,52 @@ impl BatchNorm1d {
     /// quantised layers absorb into a preceding convolution's per-channel
     /// scales and bias.
     pub fn inference_affine(&self) -> (Vec<f32>, Vec<f32>) {
-        let mut scale = vec![0.0f32; self.channels];
-        let mut shift = vec![0.0f32; self.channels];
-        for c in 0..self.channels {
-            let inv = 1.0 / (self.running_var[c] + self.eps).sqrt();
-            scale[c] = self.gamma.value.data()[c] * inv;
-            shift[c] = self.beta.value.data()[c] - self.running_mean[c] * scale[c];
-        }
-        (scale, shift)
+        (0..self.channels).map(|c| self.channel_affine(c)).unzip()
+    }
+
+    /// `(scale, shift)` of channel `c` in [`Self::inference_affine`].
+    fn channel_affine(&self, c: usize) -> (f32, f32) {
+        let inv = 1.0 / (self.running_var[c] + self.eps).sqrt();
+        let scale = self.gamma.value.data()[c] * inv;
+        (scale, self.beta.value.data()[c] - self.running_mean[c] * scale)
     }
 
     #[inline]
     fn channel_slice(data: &[f32], b: usize, c: usize, channels: usize, len: usize) -> &[f32] {
         &data[(b * channels + c) * len..(b * channels + c + 1) * len]
+    }
+}
+
+/// Folds an inference-mode batch norm into the convolution it follows:
+/// `weights[o, ..] = scale_o · w[o, ..]` and `bias[o] = scale_o · b_o +
+/// shift_o`, with `(scale, shift)` from [`BatchNorm1d::inference_affine`].
+/// The folded convolution computes conv → bn up to float rounding.
+///
+/// `weights` receives the `[out_c, in_c, kernel]` layout of
+/// [`Conv1d::weight`] and `bias` one value per output channel. This is the
+/// one fold of the library: the fused `f32` inference chain
+/// ([`crate::fused`]) and the quantised convolution
+/// ([`crate::QuantizedConv1d::from_conv_folded`]) both call it.
+///
+/// # Panics
+///
+/// Panics if the channel counts or the output slice lengths disagree.
+pub fn fold_batchnorm(conv: &Conv1d, bn: &BatchNorm1d, weights: &mut [f32], bias: &mut [f32]) {
+    let out_c = conv.out_channels();
+    assert_eq!(bn.channels(), out_c, "conv/bn channel mismatch");
+    let w = conv.weight().data();
+    assert_eq!(weights.len(), w.len(), "folded weights must match the conv weight shape");
+    assert_eq!(bias.len(), out_c, "one folded bias per output channel");
+    let cols = conv.in_channels() * conv.kernel_size();
+    let rows = weights.chunks_exact_mut(cols).zip(w.chunks_exact(cols));
+    for (o, ((folded, row), (b, &conv_b))) in
+        rows.zip(bias.iter_mut().zip(conv.bias().data())).enumerate()
+    {
+        let (scale, shift) = bn.channel_affine(o);
+        for (d, &v) in folded.iter_mut().zip(row) {
+            *d = v * scale;
+        }
+        *b = conv_b * scale + shift;
     }
 }
 

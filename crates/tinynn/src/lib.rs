@@ -13,10 +13,11 @@
 //! passes validated against finite differences (see the `gradcheck` tests in
 //! each layer module).
 //!
-//! Layers hold parameters only; per-call scratch (backward caches, im2col
-//! buffers) lives in an explicit [`Workspace`], so inference `forward` takes
-//! `&self` and one trained model can be shared across threads with a cheap
-//! per-thread workspace instead of a per-thread weight clone.
+//! Layers hold parameters only; per-call scratch (backward caches, padded
+//! and im2col buffers) lives in an explicit [`Workspace`], so inference
+//! `forward` takes `&self` and one trained model can be shared across
+//! threads with a cheap per-thread workspace instead of a per-thread weight
+//! clone.
 //!
 //! ## Example: train a tiny classifier
 //!
@@ -50,6 +51,7 @@
 #![warn(missing_docs)]
 
 pub mod data;
+pub mod fused;
 pub mod init;
 pub mod layers;
 pub mod loss;
@@ -65,8 +67,8 @@ pub mod workspace;
 
 pub use data::{Batch, DataLoader};
 pub use layers::{
-    forward_consuming, BatchNorm1d, Conv1d, GlobalAvgPool1d, Layer, Linear, MaxPool1d, Relu,
-    ResidualBlock1d, Sequential,
+    fold_batchnorm, forward_consuming, BatchNorm1d, Conv1d, GlobalAvgPool1d, Layer, Linear,
+    MaxPool1d, Relu, ResidualBlock1d, Sequential,
 };
 pub use loss::CrossEntropyLoss;
 pub use metrics::{accuracy, ConfusionMatrix};

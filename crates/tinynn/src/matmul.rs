@@ -1,8 +1,8 @@
 //! Cache-blocked `f32` matrix multiplication kernels.
 //!
-//! These are the GEMM primitives behind the im2col convolution and the
-//! vectorised fully connected layer. Three data layouts cover every use in
-//! the library without ever materialising a transpose:
+//! These are the GEMM primitives behind the convolution and the vectorised
+//! fully connected layer. Three data layouts cover every use in the library
+//! without ever materialising a transpose:
 //!
 //! * [`matmul`]      — `C[m,n] += A[m,k] · B[k,n]` (row-major everywhere);
 //! * [`matmul_a_bt`] — `C[m,n] += A[m,k] · B[n,k]ᵀ` (dot products of rows);
@@ -14,18 +14,25 @@
 //! blocked so the working set of the streamed `B` panel stays inside L1/L2.
 //! [`matmul_par`] adds a deterministic split of the `m` dimension across OS
 //! threads (`std::thread::scope`; this workspace has no external thread-pool
-//! crate) for batched inference workloads.
+//! crate) for batched workloads.
 //!
-//! The *inference* hot path no longer uses these plain kernels directly: the
-//! packed register-tiled family ([`pack_lhs`] → [`matmul_packed_lhs`] for
-//! the convolution shape, [`pack_rhs_t`] → [`matmul_packed_rhs`] for the
-//! fully connected shape) packs the weight operand once per layer call into
+//! The *forward* hot paths no longer use these plain kernels directly: the
+//! packed register-tiled family packs the weight operand into
 //! cache-friendly [`MR`]/[`NR`] panels and accumulates every `MR × NR`
-//! output tile in registers with explicitly contracted FMA, flushing to `C`
-//! once per [`KC`] depth block instead of once per depth step — roughly
-//! double the throughput of the auto-vectorised loops on the network's
-//! small-`m` GEMMs. The plain kernels remain the training/backward and
-//! parity-reference paths.
+//! output tile in registers with explicitly contracted FMA, flushing once
+//! per [`KC`] depth block instead of once per depth step — roughly double
+//! the throughput of the auto-vectorised loops on the network's small-`m`
+//! GEMMs:
+//!
+//! * [`pack_lhs`] → [`conv_direct_f32`] is the convolution: an im2col-free
+//!   direct convolution that reads each depth row straight from the
+//!   zero-padded input and hands every finished tile to a caller epilogue;
+//! * [`pack_lhs`] → [`matmul_packed_lhs`] is the same tile on an explicit
+//!   `B` matrix (the conv backward's im2col shape and the parity reference);
+//! * [`pack_rhs_t`] → [`matmul_packed_rhs`] is the fully connected shape.
+//!
+//! The plain kernels remain the training/backward and parity-reference
+//! paths.
 
 use crate::parallel;
 use crate::quant::Requantizer;
@@ -218,16 +225,27 @@ pub fn packed_lhs_len(m: usize, k: usize) -> usize {
 ///
 /// Panics if `a.len() != m * k`.
 pub fn pack_lhs(pack: &mut Vec<f32>, a: &[f32], m: usize, k: usize) {
-    assert_eq!(a.len(), m * k, "A must be m*k = {}x{}", m, k);
     pack.resize(packed_lhs_len(m, k), 0.0);
+    pack_lhs_into(pack, a, m, k);
+}
+
+/// [`pack_lhs`] into a caller-sized slice, so several layers' packs can
+/// share one buffer.
+///
+/// # Panics
+///
+/// Panics if `a.len() != m * k` or `pack.len() != packed_lhs_len(m, k)`.
+pub(crate) fn pack_lhs_into(pack: &mut [f32], a: &[f32], m: usize, k: usize) {
+    assert_eq!(a.len(), m * k, "A must be m*k = {}x{}", m, k);
+    assert_eq!(pack.len(), packed_lhs_len(m, k), "pack must cover {}x{} in MR strips", m, k);
     let strips = m.div_ceil(MR);
     for s in 0..strips {
         let i0 = s * MR;
         let rows = MR.min(m - i0);
         let dst = &mut pack[s * MR * k..(s + 1) * MR * k];
         if rows < MR {
-            // `resize` only zero-fills growth; a reused buffer may hold
-            // stale values in the padded lanes of the tail strip.
+            // A reused buffer may hold stale values in the padded lanes of
+            // the tail strip.
             dst.fill(0.0);
         }
         for i in 0..rows {
@@ -314,8 +332,8 @@ fn tile_f32_tail(
 /// `pack: [⌈m/MR⌉·MR, k]` strip-major, `B: [k, n]` row-major,
 /// `C: [m, n]` row-major.
 ///
-/// This is the inference convolution kernel: the weight pack is built once
-/// per layer call and reused across every batch item, and each `MR × NR`
+/// The weight pack is built once and reused across every batch item, and
+/// each `MR × NR`
 /// output tile is accumulated entirely in registers with explicit FMA
 /// (see [`tile_f32`]) instead of the load/FMA/store-per-depth-step pattern
 /// of [`matmul`]. The depth dimension is blocked by [`KC`] so the streamed
@@ -323,6 +341,9 @@ fn tile_f32_tail(
 /// over `k` is unchanged by the blocking, and every element of `C` is
 /// produced by exactly one tile, so results do not depend on the blocking
 /// constants' relation to the problem shape beyond float contraction.
+/// [`conv_direct_f32`] is this kernel with `B` read from the padded
+/// convolution input instead of its im2col lowering, in the same
+/// accumulation order.
 ///
 /// # Panics
 ///
@@ -350,35 +371,192 @@ pub fn matmul_packed_lhs(c: &mut [f32], pack: &[f32], b: &[f32], m: usize, k: us
     }
 }
 
-/// Like [`matmul_packed_lhs`] but splits the row strips across OS threads
-/// when the problem is large enough to amortise thread spawning. Each row
-/// of `C` is produced by exactly one thread with the same accumulation
-/// order as the sequential kernel, so the result is bit-identical to
-/// [`matmul_packed_lhs`].
+// ---------------------------------------------------------------------------
+// Direct (im2col-free) convolution
+// ---------------------------------------------------------------------------
+
+/// Row stride of the zero-padded, channel-major input that
+/// [`conv_direct_f32`] reads for `n` output positions of a `kernel`-tap
+/// filter: every tile is full-width (the ragged last one included), so each
+/// channel row carries `n` rounded up to [`NR`] plus the `kernel - 1` taps
+/// of overhang.
+pub fn direct_row_stride(n: usize, kernel: usize) -> usize {
+    n.div_ceil(NR) * NR + kernel - 1
+}
+
+/// One direct-convolution register tile of `W` positions: `acc += strip ·
+/// B` over the full depth `ck = in_c · kernel`, where depth step `kk =
+/// c·kernel + t` reads its `B` row straight out of the padded input,
+/// `x[c·rs + t + jb ..][..W]` — the row im2col would have copied there.
+///
+/// The orientation is [`tile_f32`]'s: [`MR`] packed weight lanes are
+/// broadcast, `W` output positions ([`NR`], or `NR / 2` for a ragged end)
+/// are the vector lanes. Each [`KC`] depth block accumulates from zero in
+/// registers and is then added to `acc`, exactly the order in which
+/// [`matmul_packed_lhs`] flushes its blocks into `C`; an element's
+/// accumulation order does not depend on the tile width, so a direct
+/// convolution is bit-identical to im2col → [`matmul_packed_lhs`].
+///
+/// Never inlined: one copy per width serves every caller's epilogue. Inlined
+/// into each epilogue closure, the copies crowded the instruction cache and
+/// cost the fused backbone about 9%.
+///
+/// Measured dead ends:
+/// * a position-major variant (output channels as the vector lanes, output
+///   positions broadcast) compiled to scalar `vfmadd231ss` on this shape and
+///   ran about 9× slower;
+/// * a wider `4 × 24` tile (twelve accumulators) is not kept in registers
+///   by the auto-vectoriser: it reassembles the accumulators with scalar
+///   inserts on every step.
+#[inline(never)]
+fn direct_tile_f32<const W: usize>(
+    acc: &mut [[f32; W]; MR],
+    pstrip: &[f32],
+    x: &[f32],
+    rs: usize,
+    kernel: usize,
+    jb: usize,
+) {
+    let ck = pstrip.len() / MR;
+    // Depth step `kk` is tap `t0` of the channel whose row starts at
+    // `row`, tracked across blocks (a division per tile costs as much as
+    // a short tile's FMAs).
+    let (mut row, mut t0) = (jb, 0);
+    for kb in (0..ck).step_by(KC) {
+        let mut part = [[0.0f32; W]; MR];
+        let mut w = &pstrip[kb * MR..(kb + KC).min(ck) * MR];
+        if kernel == 1 {
+            // A 1x1 convolution: each depth step is a whole channel row.
+            let steps = w.len() / MR;
+            fma_steps(&mut part, x[row..].chunks(rs).zip(w.chunks_exact(MR)));
+            row += steps * rs;
+            w = &[];
+        }
+        while !w.is_empty() {
+            // One channel's run of taps inside this depth block.
+            let taps = (kernel - t0).min(w.len() / MR);
+            let (run, rest) = w.split_at(taps * MR);
+            let xrow = &x[row + t0..row + t0 + taps - 1 + W];
+            fma_steps(&mut part, xrow.windows(W).zip(run.chunks_exact(MR)));
+            w = rest;
+            t0 += taps;
+            if t0 == kernel {
+                (row, t0) = (row + rs, 0);
+            }
+        }
+        for (acc_i, part_i) in acc.iter_mut().zip(part.iter()) {
+            for (av, &pv) in acc_i.iter_mut().zip(part_i.iter()) {
+                *av += pv;
+            }
+        }
+    }
+}
+
+/// `part += lanes ⊗ brow` for each depth step's `(B row, MR weight lanes)`.
+#[inline(always)]
+fn fma_steps<'a, const W: usize>(
+    part: &mut [[f32; W]; MR],
+    steps: impl Iterator<Item = (&'a [f32], &'a [f32])>,
+) {
+    for (brow, lanes) in steps {
+        let lanes: &[f32; MR] = lanes.try_into().expect("MR lanes");
+        let brow: &[f32; W] = brow[..W].try_into().expect("W columns");
+        for (part_i, &av) in part.iter_mut().zip(lanes.iter()) {
+            for (pv, &bv) in part_i.iter_mut().zip(brow.iter()) {
+                *pv = fmadd(av, bv, *pv);
+            }
+        }
+    }
+}
+
+/// Direct 1-D convolution with the weights pre-packed by [`pack_lhs`]:
+/// `pack: [⌈m/MR⌉·MR, ck]` for `m` output channels and `ck = in_c ·
+/// kernel`, `x` the zero-padded channel-major input with row stride `rs`
+/// (channel `c`'s receptive field for output position `j` and tap `t` is
+/// `x[c·rs + j + t]`; see [`direct_row_stride`]).
+///
+/// No im2col matrix exists: each tile reads its depth rows from `x`
+/// directly, and the input is `kernel` times smaller than its lowering.
+/// For every tile, `store(row, jb, values)` receives the finished outputs of
+/// channel `row` at positions `jb .. jb + values.len()`: `bias[row]` plus the
+/// dot product, bit-identical to `C = bias` followed by im2col →
+/// [`matmul_packed_lhs`]. `store` is where callers fuse their epilogue
+/// (residual add, ReLU, pooling, the store into the next layer's padded
+/// buffer). Calls come in ascending `jb` per row.
 ///
 /// # Panics
 ///
-/// Panics if a slice length disagrees with its dimensions.
-pub fn matmul_packed_lhs_par(c: &mut [f32], pack: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    assert_eq!(pack.len(), packed_lhs_len(m, k), "pack must cover {}x{} in MR strips", m, k);
-    let strips = m.div_ceil(MR);
-    let threads = parallel::thread_count_for(strips, 2 * m * k * n, PAR_MIN_FLOPS);
-    if threads <= 1 {
-        matmul_packed_lhs(c, pack, b, m, k, n);
-        return;
+/// Panics if the pack, bias or input does not cover the stated geometry.
+#[allow(clippy::too_many_arguments)] // conv shape: operands + geometry + epilogue
+pub fn conv_direct_f32<F: FnMut(usize, usize, &[f32])>(
+    pack: &[f32],
+    x: &[f32],
+    rs: usize,
+    m: usize,
+    kernel: usize,
+    ck: usize,
+    n: usize,
+    bias: &[f32],
+    mut store: F,
+) {
+    assert!(kernel > 0 && ck.is_multiple_of(kernel), "depth {ck} must be in_c x kernel {kernel}");
+    assert_eq!(pack.len(), packed_lhs_len(m, ck), "pack must cover {}x{} in MR strips", m, ck);
+    assert_eq!(bias.len(), m, "one bias per output channel ({m})");
+    let (in_c, span) = (ck / kernel, direct_row_stride(n, kernel));
+    assert!(rs >= span, "row stride {rs} cannot hold {n} positions of kernel {kernel}");
+    if n > 0 && in_c > 0 {
+        assert!(
+            x.len() >= (in_c - 1) * rs + span,
+            "input must cover {in_c} channel rows of stride {rs}"
+        );
     }
-    let strips_per = strips.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (idx, c_chunk) in c.chunks_mut(strips_per * MR * n).enumerate() {
-            let rows = c_chunk.len() / n;
-            let p0 = idx * strips_per * MR * k;
-            let pack_chunk = &pack[p0..p0 + rows.div_ceil(MR) * MR * k];
-            scope.spawn(move || {
-                let _serial = parallel::serial_region();
-                matmul_packed_lhs(c_chunk, pack_chunk, b, rows, k, n)
-            });
+    // Full-width tiles, then a half-width tail tile when the last few
+    // positions fit in one: it halves the padding columns computed for a
+    // ragged end.
+    let tail = n % NR;
+    let full = if tail > 0 && tail <= NR / 2 { n - tail } else { n };
+    for jb in (0..full).step_by(NR) {
+        direct_tiles::<NR, F>(pack, x, rs, m, kernel, ck, n, jb, bias, &mut store);
+    }
+    if full < n {
+        direct_tiles::<{ NR / 2 }, F>(pack, x, rs, m, kernel, ck, n, full, bias, &mut store);
+    }
+}
+
+/// Every strip's tile of `W` positions at `jb`, stored through `store`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn direct_tiles<const W: usize, F: FnMut(usize, usize, &[f32])>(
+    pack: &[f32],
+    x: &[f32],
+    rs: usize,
+    m: usize,
+    kernel: usize,
+    ck: usize,
+    n: usize,
+    jb: usize,
+    bias: &[f32],
+    store: &mut F,
+) {
+    let nr = W.min(n - jb);
+    for s in 0..m.div_ceil(MR) {
+        let i0 = s * MR;
+        let rows = MR.min(m - i0);
+        let mut acc = [[0.0f32; W]; MR];
+        for (acc_i, &b) in acc.iter_mut().zip(&bias[i0..i0 + rows]) {
+            *acc_i = [b; W];
         }
-    });
+        direct_tile_f32(&mut acc, &pack[s * MR * ck..(s + 1) * MR * ck], x, rs, kernel, jb);
+        for (i, acc_i) in acc.iter().enumerate().take(rows) {
+            // Two call sites, so a full tile's epilogue sees a constant
+            // length.
+            if nr == W {
+                store(i0 + i, jb, acc_i);
+            } else {
+                store(i0 + i, jb, &acc_i[..nr]);
+            }
+        }
+    }
 }
 
 /// Length of the pack produced by [`pack_rhs_t`] for an `[n, k]` transposed
@@ -1013,9 +1191,10 @@ mod tests {
     }
 
     // The packed kernels' tile-boundary shape sweeps (sub-tile remainders,
-    // >KC depths, random odd shapes, `_par` bit-identity, the packed-rhs
-    // transpose equivalence) live in `tests/gemm_props.rs`; the tests here
-    // only cover properties that sweep cannot express.
+    // >KC depths, random odd shapes, the packed-rhs transpose equivalence)
+    // live in `tests/gemm_props.rs`, and the direct convolution's bit
+    // parity with im2col → `matmul_packed_lhs` in `tests/direct_conv.rs`;
+    // the tests here only cover properties those suites cannot express.
 
     #[test]
     fn packed_lhs_accumulates_and_handles_empty_depth() {

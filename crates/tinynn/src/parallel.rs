@@ -101,23 +101,66 @@ pub fn for_each_item_mut<F>(out: &mut [f32], item_len: usize, threads: usize, f:
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
+    for_each_item_with_scratch(out, item_len, threads, &mut [], 0, |i, chunk, _| f(i, chunk));
+}
+
+/// Number of workers [`for_each_item_with_scratch`] runs for `items` items
+/// on up to `threads` threads — the number of `scratch_len` slices its
+/// `scratch` buffer must hold.
+pub(crate) fn worker_count(items: usize, threads: usize) -> usize {
+    if threads <= 1 || items <= 1 {
+        1
+    } else {
+        items.div_ceil(items.div_ceil(threads.min(items)))
+    }
+}
+
+/// [`for_each_item_mut`] with per-worker scratch: each worker owns one
+/// `scratch_len` slice of `scratch` for the whole run of items it
+/// processes, so per-item working buffers stay hot in cache and no worker
+/// allocates. `f` is called as `f(item_index, item_chunk, worker_scratch)`.
+///
+/// The scratch is handed over as-is between items: an item must not depend
+/// on what the previous item of the same worker left there beyond what `f`
+/// itself maintains.
+///
+/// # Panics
+///
+/// Panics if `out.len()` is not a multiple of `item_len`, or `scratch`
+/// holds fewer than [`worker_count`] slices of `scratch_len`.
+pub(crate) fn for_each_item_with_scratch<F>(
+    out: &mut [f32],
+    item_len: usize,
+    threads: usize,
+    scratch: &mut [f32],
+    scratch_len: usize,
+    f: F,
+) where
+    F: Fn(usize, &mut [f32], &mut [f32]) + Sync,
+{
     assert!(item_len > 0, "item_len must be non-zero");
     assert_eq!(out.len() % item_len, 0, "output not a multiple of item_len");
     let items = out.len() / item_len;
-    if threads <= 1 || items <= 1 {
+    let workers = worker_count(items, threads);
+    assert!(scratch.len() >= workers * scratch_len, "scratch must hold {workers} worker slices");
+    if workers == 1 {
+        let scratch = &mut scratch[..scratch_len];
         for (i, chunk) in out.chunks_mut(item_len).enumerate() {
-            f(i, chunk);
+            f(i, chunk, scratch);
         }
         return;
     }
     let per_thread = items.div_ceil(threads.min(items));
     std::thread::scope(|scope| {
+        let mut rest = scratch;
         for (run_idx, run) in out.chunks_mut(per_thread * item_len).enumerate() {
+            let (scratch, tail) = std::mem::take(&mut rest).split_at_mut(scratch_len);
+            rest = tail;
             let f = &f;
             scope.spawn(move || {
                 let _serial = serial_region();
                 for (offset, chunk) in run.chunks_mut(item_len).enumerate() {
-                    f(run_idx * per_thread + offset, chunk);
+                    f(run_idx * per_thread + offset, chunk, scratch);
                 }
             });
         }
@@ -142,6 +185,34 @@ mod tests {
         for_each_item_mut(&mut seq, item_len, 1, fill);
         for_each_item_mut(&mut par, item_len, 4, fill);
         assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn each_worker_owns_its_scratch() {
+        // Every worker counts its items in its own scratch slot; the slots
+        // must add up to the item count and the output must not depend on
+        // the split.
+        let (items, scratch_len) = (11usize, 3usize);
+        for threads in 1..=5 {
+            let workers = worker_count(items, threads);
+            let mut scratch = vec![0.0f32; workers * scratch_len];
+            let mut out = vec![0.0f32; items * 2];
+            for_each_item_with_scratch(
+                &mut out,
+                2,
+                threads,
+                &mut scratch,
+                scratch_len,
+                |i, c, s| {
+                    assert_eq!(s.len(), scratch_len);
+                    s[0] += 1.0;
+                    c.fill(i as f32);
+                },
+            );
+            let counted: f32 = scratch.chunks(scratch_len).map(|s| s[0]).sum();
+            assert_eq!(counted, items as f32, "threads={threads}");
+            assert!(out.chunks(2).enumerate().all(|(i, c)| c == [i as f32; 2]));
+        }
     }
 
     #[test]

@@ -42,7 +42,9 @@
 //! true` and `backward` panic. They hold no gradient or optimiser state —
 //! quantise a trained `f32` network, never train a quantised one.
 
-use crate::layers::{forward_consuming, BatchNorm1d, Conv1d, Layer, Linear, ResidualBlock1d};
+use crate::layers::{
+    fold_batchnorm, forward_consuming, BatchNorm1d, Conv1d, Layer, Linear, ResidualBlock1d,
+};
 use crate::matmul;
 use crate::quant::{
     quantize_activations_into, QuantActs, QuantPlan, QuantizedGemm, Requantizer, ACT_QMAX,
@@ -159,8 +161,8 @@ impl QuantizedConv1d {
     }
 
     /// Quantises a trained convolution with the *following* batch-norm
-    /// folded into the weights and bias (`w' = s_c · w`, `b' = s_c · b +
-    /// t_c` from [`BatchNorm1d::inference_affine`]), optionally fusing the
+    /// folded into the weights and bias by [`fold_batchnorm`] (`w' = s_c ·
+    /// w`, `b' = s_c · b + t_c`), optionally fusing the
     /// ReLU that follows the batch-norm. The folded network computes the
     /// same function as conv → bn (→ relu) up to float reassociation, one
     /// layer at a time.
@@ -170,18 +172,14 @@ impl QuantizedConv1d {
     /// Panics if the batch-norm channel count does not match the
     /// convolution's output channels.
     pub fn from_conv_folded(conv: &Conv1d, bn: &BatchNorm1d, fused_relu: bool) -> Self {
-        assert_eq!(bn.channels(), conv.out_channels(), "conv/bn channel mismatch");
-        let (scale, shift) = bn.inference_affine();
         let (in_c, out_c, k) = (conv.in_channels(), conv.out_channels(), conv.kernel_size());
         let cols = in_c * k;
-        let mut folded_w = permute_weights_sample_major(conv.weight().data(), in_c, k);
-        for (o, row) in folded_w.chunks_mut(cols).enumerate() {
-            for w in row.iter_mut() {
-                *w *= scale[o];
-            }
-        }
-        let folded_b: Vec<f32> =
-            conv.bias().data().iter().enumerate().map(|(o, &b)| b * scale[o] + shift[o]).collect();
+        let mut folded_w = vec![0.0f32; out_c * cols];
+        let mut folded_b = vec![0.0f32; out_c];
+        fold_batchnorm(conv, bn, &mut folded_w, &mut folded_b);
+        // The fold scales whole rows, so permuting after it moves the same
+        // values the permute-then-scale order produced.
+        let folded_w = permute_weights_sample_major(&folded_w, in_c, k);
         Self {
             gemm: QuantizedGemm::from_f32(&folded_w, &folded_b, out_c, cols),
             in_channels: in_c,

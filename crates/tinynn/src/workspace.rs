@@ -11,12 +11,16 @@
 //!   backward traverses the network in exactly the reverse order of forward,
 //!   a LIFO stack needs no layer identity bookkeeping at all. Inference
 //!   (`training == false`) pushes nothing.
-//! * **scratch buffers** — the f32 im2col pair (`col`, `dcol`), the packed
-//!   weight-panel buffer (`pack`, rebuilt per layer call and reused by the
-//!   register-tiled GEMM kernels) and the quantised-path buffers (`qx`
+//! * **scratch buffers** — the f32 convolution pair (`col`: the zero-padded
+//!   input of the direct convolution in forward, the im2col lowering in
+//!   backward; `dcol`: the column gradient), the packed weight-panel buffer
+//!   (`pack`, rebuilt per layer call — or, for the fused backbone, per
+//!   call for every layer at once — and reused by the register-tiled
+//!   kernels), the fused backbone's fold staging and per-worker activation
+//!   buffers (`fold`, `act`) and the quantised-path buffers (`qx`
 //!   activation codes, `qcol` channels-last windows, `qrow`/`qscales`
 //!   per-row staging) — reused across layers and calls, so steady-state
-//!   inference performs no allocation for the lowerings;
+//!   inference performs no allocation for them;
 //! * an **output-activation arena**: a small free list of recycled tensor
 //!   storage. Layers draw their outputs from [`Workspace::uninit_tensor`]
 //!   and sequential containers hand dead intermediates back through
@@ -45,15 +49,25 @@ const ARENA_SLOTS: usize = 16;
 #[derive(Debug, Default)]
 pub struct Workspace {
     stack: Vec<LayerCache>,
-    /// im2col lowering buffer, reused across layers of one pass.
+    /// Convolution input staging, reused across layers of one pass: the
+    /// zero-padded batch of the direct-convolution forward, and the im2col
+    /// lowering of one item in backward.
     pub(crate) col: Vec<f32>,
     /// Column-gradient buffer of the convolution backward pass.
     pub(crate) dcol: Vec<f32>,
     /// Packed weight panels of the register-tiled GEMM kernels
     /// ([`crate::matmul::pack_lhs`] / [`crate::matmul::pack_rhs_t`]),
     /// rebuilt per layer call (weights may change between calls during
-    /// training) into this one reused buffer.
+    /// training) into this one reused buffer. The fused backbone
+    /// ([`crate::fused`]) keeps every layer's folded, packed weights and
+    /// bias here for the duration of one call.
     pub(crate) pack: Vec<f32>,
+    /// Staging of one folded convolution's weights before they are packed
+    /// (the fused backbone).
+    pub(crate) fold: Vec<f32>,
+    /// Per-worker activation buffers of the fused backbone: one window's
+    /// zero-padded layer inputs and outputs, reused for every window.
+    pub(crate) act: Vec<f32>,
     /// Quantised activation buffer of the quantised layers (`i16` codes of
     /// the current input), reused across layers and calls.
     pub(crate) qx: Vec<i16>,
@@ -214,7 +228,11 @@ impl Workspace {
     /// (lowering/packing buffers plus the arena). Stable across steady-state
     /// passes once warm.
     pub fn retained_bytes(&self) -> usize {
-        let f32s = self.col.capacity() + self.dcol.capacity() + self.pack.capacity();
+        let f32s = self.col.capacity()
+            + self.dcol.capacity()
+            + self.pack.capacity()
+            + self.fold.capacity()
+            + self.act.capacity();
         let i16s = self.qx.capacity()
             + self.qcol.capacity()
             + self.qrow.capacity()
